@@ -121,8 +121,7 @@ class BenchContext
     applyOverrides(Config& cfg) const
     {
         for (const auto& key : overrides_.keys())
-            cfg.set(canonicalWorkloadKey(key),
-                    overrides_.get<std::string>(key));
+            cfg.set(key, overrides_.get<std::string>(key));
     }
 
     /** Load points for latency-throughput curves. */

@@ -47,8 +47,10 @@ BENCHMARK(BM_OutputTableReserveCredit)->Arg(16)->Arg(32)->Arg(128);
 /**
  * findDeparture alone, on a table with standing reservations and a
  * tight buffer supply — the lookup the router issues several times per
- * cycle. The cached suffix-minimum frontier makes this a binary search
- * instead of an O(horizon) backward scan per call.
+ * cycle. The buffer frontier comes from one backward walk over the
+ * stored ±1 steps that jumps between nonzero steps a bitmap word at a
+ * time, stopping at the first short run; channel cycles past it come
+ * from word scans of the busy bitmap.
  */
 void
 BM_OutputTableFindDeparture(benchmark::State& state)

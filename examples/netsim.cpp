@@ -4,9 +4,9 @@
  * Every configuration key is exposed as key=value; a config file can
  * seed the experiment. Examples:
  *
- *   $ ./netsim scheme=fr data_buffers=6 offered=0.7
- *   $ ./netsim scheme=vc num_vcs=4 vc_depth=4 packet_length=21 \
- *              topology=torus traffic=transpose offered=0.4
+ *   $ ./netsim scheme=fr data_buffers=6 workload.offered=0.7
+ *   $ ./netsim scheme=vc num_vcs=4 vc_depth=4 workload.packet_length=21 \
+ *              topology=torus traffic=transpose workload.offered=0.4
  *   $ ./netsim config=myexp.cfg seed=7 run.sample_packets=100000
  *   $ ./netsim preset=fr6 out.format=json out.file=run.json
  *

@@ -7,7 +7,7 @@
  * per hardware thread, the default).
  *
  *   $ ./saturation_explorer preset=fr6
- *   $ ./saturation_explorer preset=vc8 packet_length=21 run.threads=4
+ *   $ ./saturation_explorer preset=vc8 workload.packet_length=21 run.threads=4
  *   $ ./saturation_explorer preset=fr6 out.format=json out.file=fr6.json
  */
 

@@ -85,13 +85,8 @@ main(int argc, char** argv)
          "Replay one recorded workload through VC and FR fabrics"},
         [](bench::BenchContext& ctx) {
             std::string path;
-            // Honor both the namespaced key and the legacy "trace"
-            // spelling on the command line.
-            if (ctx.overrides().has(kWorkloadTraceFileKey)
-                || ctx.overrides().has(
-                    "trace")) {  // frfc-lint: allow(workload-keys)
-                Config cfg = ctx.overrides();
-                path = workloadTraceFile(cfg);
+            if (ctx.overrides().has(kWorkloadTraceFileKey)) {
+                path = workloadTraceFile(ctx.overrides());
             } else {
                 path = "demo_workload.tr";
                 std::ofstream out(path);

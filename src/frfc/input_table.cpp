@@ -8,8 +8,7 @@ InputReservationTable::InputReservationTable(int horizon, int buffers,
                                              int speedup)
     : horizon_(horizon), speedup_(speedup),
       mask_(std::bit_ceil(static_cast<std::size_t>(horizon)) - 1),
-      pool_(buffers), arrivals_(mask_ + 1), departs_(mask_ + 1),
-      doomed_(mask_ + 1, kInvalidCycle)
+      pool_(buffers), arrivals_(mask_ + 1), departs_(mask_ + 1)
 {
     FRFC_ASSERT(horizon >= 2, "horizon must be at least 2 cycles");
     FRFC_ASSERT(speedup >= 1 && speedup <= kMaxSpeedup,
@@ -31,33 +30,32 @@ void
 InputReservationTable::advance(Cycle now)
 {
     FRFC_ASSERT(now >= window_start_, "window cannot move backwards");
-    if (live_rows_ == 0 && doomed_count_ == 0) {
+    if (live_rows_ == 0) {
         // Nothing scheduled: no row can expire, no fault can surface.
         window_start_ = now;
         return;
     }
     while (window_start_ < now) {
-        // A doomed arrival whose data flit never showed (dropped in
-        // flight on top of the killed control worm) expires silently.
-        Cycle& doom = doomed_[index(window_start_)];
-        if (doom == window_start_) {
-            doom = kInvalidCycle;
-            --doomed_count_;
-        }
-        // An expiring arrival row must have been consumed: the upstream
-        // scheduler guaranteed the flit arrived during that cycle —
-        // unless fault injection dropped it, in which case its
-        // reservation executes vacuously (Section 5 error recovery).
         ArrivalSlot& arr = arrivals_[index(window_start_)];
-        if (arr.cycle == window_start_ && fault_tolerant_) {
-            voidDeparture(arr.depart, window_start_);
+        if (arr.cycle == window_start_) {
+            // A doom row whose data flit never showed (dropped in
+            // flight on top of the killed control worm) expires
+            // silently. A reservation row must have been consumed: the
+            // upstream scheduler guaranteed the flit arrived during
+            // that cycle — unless fault injection dropped it, in which
+            // case its reservation executes vacuously (Section 5 error
+            // recovery).
+            const bool doom = arr.depart == kInvalidCycle;
+            FRFC_ASSERT(doom || fault_tolerant_,
+                        "scheduled arrival at cycle ", window_start_,
+                        " never materialized");
+            if (!doom) {
+                voidDeparture(arr.depart, window_start_);
+                lost_arrivals_.inc();
+            }
             arr.cycle = kInvalidCycle;
             --live_rows_;
-            lost_arrivals_.inc();
         }
-        FRFC_ASSERT(arr.cycle != window_start_,
-                    "scheduled arrival at cycle ", window_start_,
-                    " never materialized");
         const DepartSlot& dep = departs_[index(window_start_)];
         FRFC_ASSERT(dep.cycle != window_start_,
                     "scheduled departure at cycle ", window_start_,
@@ -220,23 +218,26 @@ InputReservationTable::markDoomed(Cycle arrival)
                         <= static_cast<Cycle>(mask_),
                 "doomed arrival ", arrival, " outside window at ",
                 window_start_);
-    Cycle& doom = doomed_[index(arrival)];
+    ArrivalSlot& aslot = arrivals_[index(arrival)];
     // One departure per upstream wire cycle means at most one arrival
-    // per cycle on this port — a second doom of the same slot would be
-    // a duplicated control entry.
-    FRFC_ASSERT(doom != arrival, "arrival ", arrival, " doomed twice");
-    doom = arrival;
-    ++doomed_count_;
+    // per cycle on this port — a doom row landing on a live row would
+    // be a duplicated control entry.
+    FRFC_ASSERT(aslot.cycle != arrival, "arrival ", arrival,
+                " doomed but already has a row");
+    aslot.cycle = arrival;
+    aslot.depart = kInvalidCycle;
+    aslot.out = kInvalidPort;
+    ++live_rows_;
 }
 
 bool
 InputReservationTable::consumeDoomed(Cycle now)
 {
-    Cycle& doom = doomed_[index(now)];
-    if (doom != now)
+    ArrivalSlot& aslot = arrivals_[index(now)];
+    if (aslot.cycle != now || aslot.depart != kInvalidCycle)
         return false;
-    doom = kInvalidCycle;
-    --doomed_count_;
+    aslot.cycle = kInvalidCycle;
+    --live_rows_;
     return true;
 }
 

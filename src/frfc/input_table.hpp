@@ -115,13 +115,15 @@ class InputReservationTable
      * processed it, so no reservation row exists — but the upstream
      * scheduler will still fire the flit onto the wire. The router
      * discards a doomed arrival before acceptFlit() (the buffer credit
-     * was already returned when the worm died). Marks are tag-checked
-     * ring slots; one that never materializes (the data flit was dropped
-     * in flight as well) expires silently as the window slides past.
+     * was already returned when the worm died). The mark is an arrival
+     * row with no departure; one that never materializes (the data flit
+     * was dropped in flight as well) expires silently as the window
+     * slides past.
      */
     void markDoomed(Cycle arrival);
 
-    /** Consume a doomed mark for an arrival at @p now, if present. */
+    /** Consume a doomed mark for an arrival at @p now, if present
+     *  (never a reservation row). */
     bool consumeDoomed(Cycle now);
 
     /**
@@ -196,7 +198,7 @@ class InputReservationTable
     struct ArrivalSlot
     {
         Cycle cycle = kInvalidCycle;  ///< tag; valid when == slot time
-        Cycle depart = kInvalidCycle;
+        Cycle depart = kInvalidCycle;  ///< kInvalidCycle: doom row
         PortId out = kInvalidPort;
     };
 
@@ -235,18 +237,13 @@ class InputReservationTable
     int speedup_;
     std::size_t mask_;
     Cycle window_start_ = 0;
-    /** Live (tagged) arrival rows plus live departure slots. While
-     *  zero, every expiry check in advance() is vacuous, so the window
-     *  can jump in O(1) — the catch-up path for a woken router. */
+    /** Live (tagged) arrival and doom rows plus live departure slots.
+     *  While zero, every expiry check in advance() is vacuous, so the
+     *  window can jump in O(1) — the catch-up path for a woken router. */
     int live_rows_ = 0;
     BufferPool pool_;
     std::vector<ArrivalSlot> arrivals_;
     std::vector<DepartSlot> departs_;
-    /** Tag-checked ring of doomed arrivals (see markDoomed()). */
-    std::vector<Cycle> doomed_;
-    /** Live doomed marks; nonzero disables the O(1) advance jump so
-     *  expired marks are cleared slot by slot. */
-    int doomed_count_ = 0;
     /** Bit i set = buffer i holds a speculative flit (evictable). */
     std::uint64_t spec_held_ = 0;
     /** Schedule list, insertion-ordered. Every parked flit holds a

@@ -10,8 +10,8 @@ OutputReservationTable::OutputReservationTable(int horizon,
       link_latency_(link_latency), infinite_(infinite_buffers),
       ring_size_(ringSlotsFor(horizon)), mask_(ring_size_ - 1),
       busy_words_((ring_size_ + 63) / 64, 0),
-      free_(ring_size_, downstream_buffers),
-      suffix_min_(ring_size_, downstream_buffers)
+      free_end_(downstream_buffers), step_(ring_size_, 0),
+      step_words_(busy_words_.size(), 0)
 {
     FRFC_ASSERT(horizon >= 2, "horizon must be at least 2 cycles");
     FRFC_ASSERT(infinite_buffers || downstream_buffers > 0,
@@ -24,60 +24,34 @@ void
 OutputReservationTable::advance(Cycle now)
 {
     FRFC_ASSERT(now >= window_start_, "window cannot move backwards");
-    // Quiescent fast path: with no reservations and every buffer count
-    // at the maximum, each expiry step below is the identity — the new
-    // slot inherits the same count and an idle channel — so the window
-    // can jump straight to now. This is what lets a sleeping router
-    // catch up in O(1) instead of replaying every skipped cycle. The
-    // jump is sound even when the ring is wider than the horizon:
-    // slots outside the window are parked at full capacity with clear
-    // busy bits (see the expiry loop), so every slot the jump exposes
-    // already holds the values the loop would have written.
-    if (reserved_ == 0
-        && suffix_min_[index(window_start_)] == buffers_) {
-        window_start_ = now;
-        return;
-    }
-    while (window_start_ < now) {
-        // Slot window_start_ expires and the slot for
-        // window_start_ + horizon enters the window, inheriting the
-        // buffer count of the (previous) last slot and an idle
-        // channel. Dropping the front slot leaves later suffix minima
-        // untouched, and the new last slot's count equals the old last
-        // slot's, so its suffix minimum is its own count and no
-        // earlier minimum changes. The expired slot is parked at full
-        // capacity so the quiescent jump above stays exact; with a
-        // power-of-two ring the expired and entering slots are the
-        // same slot only when the horizon is itself a power of two,
-        // hence the park-then-write order.
-        const std::size_t expired = index(window_start_);
-        const std::size_t old_last = index(windowEnd());
-        const std::size_t new_last = index(window_start_ + horizon_);
-        if (bitAt(expired)) {
+    // Each expired cycle drops out of the window; the cycles entering
+    // at the far end need no work, since their steps are already zero
+    // (the count stays free_end_ past the last scheduled event). A
+    // window that slides a whole horizon or more expires every slot.
+    const Cycle expire_end = std::min(now, window_start_ + horizon_);
+    for (Cycle t = window_start_; t < expire_end; ++t) {
+        const std::size_t i = index(t);
+        if (bitAt(busy_words_, i)) {
             --reserved_;
-            clearBit(expired);
+            setBit(busy_words_, i, false);
             // The reservation leaves the window the cycle after its
             // slot — the exact timestamp a per-cycle observer records.
-            occupancy_.update(window_start_ + 1,
-                              static_cast<double>(reserved_));
+            occupancy_.update(t + 1, static_cast<double>(reserved_));
         }
-        const int inherited = free_[old_last];
-        free_[expired] = buffers_;
-        suffix_min_[expired] = buffers_;
-        free_[new_last] = inherited;
-        suffix_min_[new_last] = inherited;
-        ++window_start_;
+        step_[i] = 0;
+        setBit(step_words_, i, false);
     }
+    window_start_ = now;
 }
 
-void
-OutputReservationTable::reserve(Cycle depart)
+bool
+OutputReservationTable::book(Cycle depart, const char* kind)
 {
     FRFC_ASSERT(depart >= window_start_, "departure in the past");
     FRFC_ASSERT(depart <= windowEnd() - (infinite_ ? 0 : link_latency_),
                 "departure too far in the future");
     const std::size_t pos = index(depart);
-    if (bitAt(pos)) {
+    if (bitAt(busy_words_, pos)) {
         // A double-booked output cycle would send two headerless data
         // flits onto one wire in the same cycle — the silent-corruption
         // case the sanitizer exists for. Leave the table intact so a
@@ -86,62 +60,42 @@ OutputReservationTable::reserve(Cycle depart)
             validator_->fail("res.double-book", window_start_, owner_,
                              port_,
                              "cycle " + std::to_string(depart)
-                                 + " reserved twice");
-            return;
+                                 + " reserved twice" + kind);
+            return false;
         }
         panic("double reservation of cycle ", depart);
     }
-    setBit(pos);
+    setBit(busy_words_, pos, true);
     ++reserved_;
-    ++reserves_total_;
-    if (depart < busy_hint_)
-        busy_hint_ = depart;
     // The committing tick runs with window_start_ == now; a per-cycle
     // observer first sees the new count one cycle later.
     occupancy_.update(window_start_ + 1, static_cast<double>(reserved_));
+    return true;
+}
+
+void
+OutputReservationTable::reserve(Cycle depart)
+{
+    if (!book(depart, ""))
+        return;
+    ++reserves_total_;
     if (infinite_)
         return;
-    // Every suffix [t, windowEnd()] with t >= the arrival loses exactly
-    // this one buffer, so the cached minima drop by one in lockstep.
     const Cycle arrival = depart + link_latency_;
-    std::size_t i = index(arrival);
-    const std::size_t count =
-        static_cast<std::size_t>(windowEnd() - arrival + 1);
-    for (std::size_t k = 0; k < count; ++k) {
-        int& f = free_[i];
-        FRFC_ASSERT(f > 0, "reserving without a free buffer at ",
-                    arrival + static_cast<Cycle>(k));
-        --f;
-        --suffix_min_[i];
-        i = (i + 1) & mask_;
-    }
-    refreshSuffixBefore(arrival - 1);
+    const Cycle empty_at = walkFree(
+        arrival, [](Cycle, Cycle, int free) { return free > 0; });
+    FRFC_ASSERT(empty_at == kInvalidCycle,
+                "reserving without a free buffer at ", empty_at);
+    --free_end_;
+    addStep(index(arrival), -1);
 }
 
 void
 OutputReservationTable::reserveWire(Cycle depart)
 {
-    FRFC_ASSERT(depart >= window_start_, "departure in the past");
-    FRFC_ASSERT(depart <= windowEnd() - (infinite_ ? 0 : link_latency_),
-                "departure too far in the future");
-    const std::size_t pos = index(depart);
-    if (bitAt(pos)) {
-        if (validator_ != nullptr) {
-            validator_->fail("res.double-book", window_start_, owner_,
-                             port_,
-                             "cycle " + std::to_string(depart)
-                                 + " reserved twice (speculative)");
-            return;
-        }
-        panic("double reservation of cycle ", depart);
-    }
-    setBit(pos);
-    ++reserved_;
-    if (depart < busy_hint_)
-        busy_hint_ = depart;
-    occupancy_.update(window_start_ + 1, static_cast<double>(reserved_));
     // No buffer-count or reserves_total_ updates: the speculative flit
     // holds no reserved buffer downstream and earns no advance credit.
+    book(depart, " (speculative)");
 }
 
 void
@@ -152,37 +106,28 @@ OutputReservationTable::credit(Cycle free_from)
     const Cycle from = std::max(free_from, window_start_);
     FRFC_ASSERT(from <= windowEnd(),
                 "credit for cycle ", free_from, " beyond horizon");
-    // A credit that would raise any slot above the pool capacity is a
-    // duplicated or misrouted credit: report it (once) and refuse the
-    // whole application so the table stays consistent.
-    if (validator_ != nullptr) {
-        std::size_t probe = index(from);
-        for (Cycle t = from; t <= windowEnd(); ++t) {
-            if (free_[probe] >= buffers_) {
-                validator_->fail(
-                    "credit.overflow", window_start_, owner_, port_,
-                    "credit from cycle " + std::to_string(free_from)
-                        + " exceeds capacity "
-                        + std::to_string(buffers_) + " at cycle "
-                        + std::to_string(t));
-                return;
-            }
-            probe = (probe + 1) & mask_;
+    // Find the earliest cycle already at capacity; a credit from there
+    // on would overflow it, so the whole application is refused.
+    Cycle full_at = kInvalidCycle;
+    walkFree(from, [&](Cycle lo, Cycle, int free) {
+        if (free >= buffers_)
+            full_at = lo;
+        return true;
+    });
+    if (full_at != kInvalidCycle) {
+        if (validator_ != nullptr) {
+            validator_->fail(
+                "credit.overflow", window_start_, owner_, port_,
+                "credit from cycle " + std::to_string(free_from)
+                    + " exceeds capacity " + std::to_string(buffers_)
+                    + " at cycle " + std::to_string(full_at));
+            return;
         }
+        panic("credit overflow at cycle ", full_at);
     }
     ++credits_total_;
-    std::size_t i = index(from);
-    const std::size_t count =
-        static_cast<std::size_t>(windowEnd() - from + 1);
-    for (std::size_t k = 0; k < count; ++k) {
-        int& f = free_[i];
-        ++f;
-        FRFC_ASSERT(f <= buffers_, "credit overflow at cycle ",
-                    from + static_cast<Cycle>(k));
-        ++suffix_min_[i];
-        i = (i + 1) & mask_;
-    }
-    refreshSuffixBefore(from - 1);
+    ++free_end_;
+    addStep(index(from), +1);
 }
 
 void
@@ -190,41 +135,44 @@ OutputReservationTable::auditCreditConservation(Cycle now) const
 {
     if (infinite_ || validator_ == nullptr)
         return;
-    // Every reserve() subtracts one buffer from the window's last slot
-    // and every accepted credit() adds one back; window slides copy
-    // the last slot forward, so the identity holds at every instant.
+    const auto report = [&](const std::string& what) {
+        validator_->fail("credit.conservation", now, owner_, port_, what);
+    };
     const std::int64_t outstanding = reserves_total_ - credits_total_;
-    const int at_end = free_[index(windowEnd())];
-    if (static_cast<std::int64_t>(buffers_) - outstanding
-        == static_cast<std::int64_t>(at_end)) {
-        return;
+    if (static_cast<std::int64_t>(buffers_) - outstanding != free_end_) {
+        report("free at horizon end " + std::to_string(free_end_)
+               + " != capacity " + std::to_string(buffers_)
+               + " - outstanding " + std::to_string(outstanding) + " ("
+               + std::to_string(reserves_total_) + " reserved, "
+               + std::to_string(credits_total_) + " credited)");
     }
-    validator_->fail(
-        "credit.conservation", now, owner_, port_,
-        "free at horizon end " + std::to_string(at_end)
-            + " != capacity " + std::to_string(buffers_)
-            + " - outstanding " + std::to_string(outstanding) + " ("
-            + std::to_string(reserves_total_) + " reserved, "
-            + std::to_string(credits_total_) + " credited)");
-}
-
-void
-OutputReservationTable::refreshSuffixBefore(Cycle from)
-{
-    Cycle t = std::min(from, windowEnd() - 1);
-    if (t < window_start_)
+    if (!validator_->paranoid())
         return;
-    std::size_t i = index(t);
-    for (;;) {
-        const std::size_t next = (i + 1) & mask_;
-        const int updated = std::min(free_[i], suffix_min_[next]);
-        if (updated == suffix_min_[i])
-            return;  // minima further back are built on this one
-        suffix_min_[i] = updated;
-        if (--t < window_start_)
-            return;
-        i = (i - 1) & mask_;
+    for (std::size_t i = 0; i < ring_size_; ++i) {
+        if (bitAt(step_words_, i) != (step_[i] != 0)) {
+            report("step bitmap disagrees with step "
+                   + std::to_string(step_[i]) + " at slot "
+                   + std::to_string(i));
+        }
     }
+    // The ring slots past windowEnd() up to the wrap back to
+    // window_start_ are exactly the out-of-window slots.
+    for (Cycle t = windowEnd() + 1; index(t) != index(window_start_);
+         ++t) {
+        if (step_[index(t)] != 0) {
+            report("nonzero step " + std::to_string(step_[index(t)])
+                   + " outside the window at cycle "
+                   + std::to_string(t));
+        }
+    }
+    walkFree(window_start_, [&](Cycle lo, Cycle hi, int free) {
+        if (free < 0 || free > buffers_) {
+            report("free count " + std::to_string(free) + " at cycles ["
+                   + std::to_string(lo) + ", " + std::to_string(hi)
+                   + "] outside [0, " + std::to_string(buffers_) + "]");
+        }
+        return true;
+    });
 }
 
 }  // namespace frfc

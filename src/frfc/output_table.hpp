@@ -5,28 +5,32 @@
  * For every output channel, the table records — for each cycle in the
  * window [now, now + horizon - 1] — whether the channel is reserved
  * (busy) and how many flit buffers are free at the far end of the link.
- * Storage is a circular wheel reused as time expires; when the window
- * slides, the newly exposed slot inherits the previous last slot's
- * buffer count (nothing beyond the horizon has been scheduled, so the
- * count is constant past the end).
+ *
+ * The free-buffer count is a step function of time, and the table
+ * stores it as its steps: free_end_ is the count at windowEnd(), and
+ * step_[t] = free(t) - free(t - 1) is the +1/-1 events timestamped at
+ * t. Nothing is scheduled past the horizon, so the count is constant
+ * there: every slot outside the window holds a zero step, and sliding
+ * the window only zeroes the expired slots. Any count is recovered by
+ * walking the steps backward from windowEnd(); a bitmap of the nonzero
+ * steps lets the walk jump from one step to the next, so it costs
+ * O(horizon / 64 + steps crossed) rather than a visit per cycle.
  *
  * Data layout (DESIGN.md §12): the wheel holds the smallest power of
  * two >= horizon slots so cycle -> slot is a single mask (`t & mask_`,
- * no division), and channel-busy state is a packed uint64_t bitmap so
- * the window scans behind findDeparture()/nextBusyCycleAfter() run a
- * word at a time (countr_zero over masked words) instead of a byte at
- * a time. Slots outside the live window are kept at full capacity and
- * bit-idle, which is what lets advance() jump a quiescent table to
- * `now` in O(1).
+ * no division), and channel-busy state and the nonzero steps are packed
+ * uint64_t bitmaps so the window scans behind findDeparture(),
+ * nextBusyCycleAfter() and the free-count walk run a word at a time
+ * (countr_zero / countl_zero over masked words) instead of a slot at a
+ * time.
  *
  * Reserving a departure at t_d marks the channel busy during t_d and
- * decrements the free-buffer count for every cycle from t_d + t_p
- * (arrival downstream) to the horizon: the flit holds a downstream
- * buffer from its arrival until the downstream scheduler fixes its own
- * departure. The downstream input scheduler then returns a timestamped
- * credit that increments the count from that departure cycle onward —
- * this advance credit return is what gives flit-reservation flow
- * control its zero buffer-turnaround time.
+ * takes one free buffer from t_d + t_p (arrival downstream) onward: the
+ * flit holds a downstream buffer from its arrival until the downstream
+ * scheduler fixes its own departure. The downstream input scheduler
+ * then returns a timestamped credit that gives the buffer back from
+ * that departure cycle onward — this advance credit return is what
+ * gives flit-reservation flow control its zero buffer-turnaround time.
  */
 
 #ifndef FRFC_FRFC_OUTPUT_TABLE_HPP
@@ -74,14 +78,10 @@ class OutputReservationTable
      * window qualifies.
      *
      * Buffer availability is a suffix-minimum: once the earliest
-     * feasible arrival is known, everything later is feasible too.
-     * The suffix minima are cached in suffix_min_ and maintained
-     * incrementally by reserve()/credit()/advance(), so locating the
-     * frontier is a binary search instead of an O(horizon) rescan on
-     * every call — findDeparture dominates the scheduling hot path,
-     * with several candidate lookups per router per cycle. Past the
-     * frontier, free channel cycles come from the busy bitmap a word
-     * at a time.
+     * feasible arrival is known, everything later is feasible too. The
+     * frontier is where a walk backward from windowEnd() first sees
+     * fewer than min_free buffers; past it, free channel cycles come
+     * from the busy bitmap a word at a time.
      */
     template <typename Predicate>
     Cycle
@@ -96,21 +96,14 @@ class OutputReservationTable
 
         Cycle first = lo;
         if (!infinite_) {
-            // suffix_min_ is non-decreasing in t, so the frontier —
-            // the earliest arrival from which min_free buffers stay
-            // free through the horizon — is found by binary search.
-            Cycle a_lo = lo + link_latency_;
-            Cycle a_hi = windowEnd();
-            if (suffix_min_[index(a_hi)] < min_free)
+            const Cycle short_at = walkFree(
+                lo + link_latency_, [min_free](Cycle, Cycle, int free) {
+                    return free >= min_free;
+                });
+            if (short_at == windowEnd())
                 return kInvalidCycle;  // no feasible arrival at all
-            while (a_lo < a_hi) {
-                const Cycle mid = a_lo + (a_hi - a_lo) / 2;
-                if (suffix_min_[index(mid)] >= min_free)
-                    a_hi = mid;
-                else
-                    a_lo = mid + 1;
-            }
-            first = std::max(lo, a_lo - link_latency_);
+            if (short_at != kInvalidCycle)
+                first = short_at + 1 - link_latency_;
         }
         for (Cycle t = scanWindow(first, hi, /*want_busy=*/false);
              t != kInvalidCycle;
@@ -137,7 +130,9 @@ class OutputReservationTable
 
     /**
      * Apply a downstream credit: one buffer becomes free from
-     * @p free_from onward (clamped into the window).
+     * @p free_from onward (clamped into the window). A credit that
+     * would raise any count above the pool capacity is a duplicated or
+     * misrouted credit: reported as `credit.overflow` and refused.
      */
     void credit(Cycle free_from);
 
@@ -158,12 +153,14 @@ class OutputReservationTable
 
     /**
      * Credit-conservation audit: every reserve() takes one downstream
-     * buffer from the window's last slot and every credit() returns
-     * one, so at all times
+     * buffer from free_end_ and every credit() returns one, so
      *   free at windowEnd() == capacity - (reserves - credits),
      * i.e. credits outstanding plus free buffers equals the pool size
-     * (the Backpressure-style conservation argument). Reports
-     * `credit.conservation` on mismatch; no-op on infinite tables.
+     * (the Backpressure-style conservation argument). Paranoid runs
+     * also check the step storage that identity rests on: every step
+     * outside the window is zero, the nonzero-step bitmap matches the
+     * steps, and every count inside the window lies in [0, capacity].
+     * Reports `credit.conservation`; no-op on infinite tables.
      */
     void auditCreditConservation(Cycle now) const;
 
@@ -186,8 +183,21 @@ class OutputReservationTable
     }
 
     /** @{ Inspection (tests, stats). */
-    bool busyAt(Cycle t) const { return bitAt(index(checked(t))); }
-    int freeBuffersAt(Cycle t) const { return free_[index(checked(t))]; }
+    bool
+    busyAt(Cycle t) const
+    {
+        return bitAt(busy_words_, index(checked(t)));
+    }
+    int
+    freeBuffersAt(Cycle t) const
+    {
+        int at_t = 0;
+        walkFree(checked(t), [&at_t](Cycle, Cycle, int free) {
+            at_t = free;
+            return true;
+        });
+        return at_t;
+    }
     Cycle windowStart() const { return window_start_; }
     Cycle windowEnd() const { return window_start_ + horizon_ - 1; }
     int horizon() const { return horizon_; }
@@ -209,24 +219,11 @@ class OutputReservationTable
     {
         if (reserved_ == 0)
             return kInvalidCycle;
-        // busy_hint_ is a lower bound on every busy cycle (reserve()
-        // lowers it, expiry only removes early slots), so the scan can
-        // start there and cache its landing point — amortized O(1) for
-        // the per-tick quiescence checks instead of O(horizon). The
-        // cache only moves when the scan covered everything from the
-        // bound, i.e. when nothing before `start` was skipped.
-        const Cycle lo = std::max(busy_hint_, window_start_);
-        const Cycle start = std::max(lo, after + 1);
-        const Cycle t = scanWindow(start, windowEnd(),
-                                   /*want_busy=*/true);
-        if (t != kInvalidCycle) {
-            if (start == lo)
-                busy_hint_ = t;
-            return t;
-        }
-        if (start == lo)
+        const Cycle start = std::max(window_start_, after + 1);
+        const Cycle t = scanWindow(start, windowEnd(), /*want_busy=*/true);
+        if (t == kInvalidCycle && start == window_start_)
             panic("reservedCount out of sync with busy bits");
-        return kInvalidCycle;  // only already-expiring cycles remain
+        return t;  // invalid: only already-expiring cycles remain
     }
 
     /**
@@ -264,23 +261,28 @@ class OutputReservationTable
         return t;
     }
 
-    /** @{ Packed busy bitmap; bit position == slot index. */
-    bool
-    bitAt(std::size_t pos) const
+    /** @{ Packed slot bitmaps; bit position == slot index. */
+    static bool
+    bitAt(const std::vector<std::uint64_t>& words, std::size_t pos)
     {
-        return (busy_words_[pos >> 6] >> (pos & 63)) & 1u;
+        return (words[pos >> 6] >> (pos & 63)) & 1u;
     }
-    void
-    setBit(std::size_t pos)
+    static void
+    setBit(std::vector<std::uint64_t>& words, std::size_t pos, bool on)
     {
-        busy_words_[pos >> 6] |= std::uint64_t{1} << (pos & 63);
-    }
-    void
-    clearBit(std::size_t pos)
-    {
-        busy_words_[pos >> 6] &= ~(std::uint64_t{1} << (pos & 63));
+        const std::uint64_t bit = std::uint64_t{1} << (pos & 63);
+        words[pos >> 6] = on ? words[pos >> 6] | bit
+                             : words[pos >> 6] & ~bit;
     }
     /** @} */
+
+    /** Add @p delta to the step at slot @p pos, keeping its bit. */
+    void
+    addStep(std::size_t pos, int delta)
+    {
+        step_[pos] += delta;
+        setBit(step_words_, pos, step_[pos] != 0);
+    }
 
     /**
      * First cycle in [@p from, @p to] whose busy bit equals
@@ -335,11 +337,61 @@ class OutputReservationTable
     }
 
     /**
-     * Recompute suffix_min_[t] backwards from @p from down to the
-     * window start, stopping at the first unchanged slot (earlier
-     * minima cannot change once one propagation step is a no-op).
+     * Walk the free-buffer count backward from windowEnd() down to
+     * @p stop one constant run at a time: @p visit(lo, hi, free) sees
+     * each maximal [lo, hi] within [stop, windowEnd()] on which the
+     * count is `free`, latest run first. Returns the `hi` of the run
+     * at which @p visit returned false (ending the walk), or
+     * kInvalidCycle if it accepted every run. The count changes only
+     * across a nonzero step t in (stop, windowEnd()], where free(t - 1)
+     * = free(t) - step(t), so only the step bitmap's set bits are
+     * visited: scanWindow()'s seam-split word scan, run backward.
      */
-    void refreshSuffixBefore(Cycle from);
+    template <typename Visit>
+    Cycle
+    walkFree(Cycle stop, Visit&& visit) const
+    {
+        int free = free_end_;
+        Cycle hi = windowEnd();
+        Cycle cursor = hi;  // the cycle at slot `pos`
+        std::size_t pos = index(hi);
+        while (cursor > stop) {
+            const std::size_t span = std::min(
+                static_cast<std::size_t>(cursor - stop), pos + 1);
+            const std::size_t begin = pos + 1 - span;
+            std::size_t w = pos >> 6;
+            std::uint64_t word =
+                step_words_[w] & (kAllOnes >> (63 - (pos & 63)));
+            for (;;) {
+                const std::size_t base = w << 6;
+                if (base < begin)
+                    word &= kAllOnes << (begin - base);
+                while (word != 0) {
+                    const int bit = 63 - std::countl_zero(word);
+                    const std::size_t slot = base + bit;
+                    const Cycle t = cursor - static_cast<Cycle>(pos - slot);
+                    if (!visit(t, hi, free))
+                        return hi;
+                    free -= step_[slot];
+                    hi = t - 1;
+                    word &= ~(std::uint64_t{1} << bit);
+                }
+                if (base <= begin)
+                    break;
+                word = step_words_[--w];
+            }
+            cursor -= static_cast<Cycle>(span);
+            pos = ring_size_ - 1;
+        }
+        return visit(stop, hi, free) ? kInvalidCycle : hi;
+    }
+
+    /**
+     * Mark @p depart busy (shared by reserve() and reserveWire()).
+     * Returns false, leaving the table untouched, when the cycle is
+     * already booked and a validator took the report.
+     */
+    bool book(Cycle depart, const char* kind);
 
     int horizon_;
     int buffers_;
@@ -358,19 +410,18 @@ class OutputReservationTable
     std::int64_t credits_total_ = 0;
     Cycle window_start_ = 0;
     int reserved_ = 0;  ///< busy slots in the window (metrics)
-    /** Lower bound on the earliest busy cycle (nextBusyCycleAfter). */
-    mutable Cycle busy_hint_ = 0;
     /** Reserved-count time-average (see occupancy()). */
     TimeAverage occupancy_;
     /** Channel-busy bitmap, one bit per wheel slot. Bits outside the
      *  live window are always clear (advance() clears on expiry). */
     std::vector<std::uint64_t> busy_words_;
-    std::vector<int> free_;
-    /** suffix_min_[index(t)] = min(free_[t .. windowEnd()]); the
-     *  cached feasibility frontier behind findDeparture(). Slots
-     *  outside the window hold buffers_ so the quiescent-jump
-     *  invariant (everything at capacity) covers the whole ring. */
-    std::vector<int> suffix_min_;
+    /** Free downstream buffers at windowEnd() (and past it). */
+    int free_end_;
+    /** step_[index(t)] = free(t) - free(t - 1); zero outside the
+     *  window. The step at window_start_ itself is never read. */
+    std::vector<int> step_;
+    /** One bit per wheel slot, set exactly when its step is nonzero. */
+    std::vector<std::uint64_t> step_words_;
 };
 
 }  // namespace frfc

@@ -1,5 +1,6 @@
 #include "harness/parallel.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/log.hpp"
@@ -99,14 +100,25 @@ ParallelExecutor::workerLoop()
     }
 }
 
+Config
+withConcurrentRuns(const Config& cfg, int runs)
+{
+    Config point = cfg;
+    point.set("run.threads", runs);
+    return point;
+}
+
 std::vector<RunResult>
 runExperiments(const std::vector<Config>& points, const RunOptions& opt)
 {
     ParallelExecutor pool(opt.threads);
+    // Points beyond the worker count queue rather than run at once.
+    const int runs = static_cast<int>(std::min(
+        points.size(), static_cast<std::size_t>(pool.threadCount())));
     std::vector<std::future<RunResult>> futures;
     futures.reserve(points.size());
     for (const Config& point : points)
-        futures.push_back(pool.submit(point, opt));
+        futures.push_back(pool.submit(withConcurrentRuns(point, runs), opt));
     std::vector<RunResult> results;
     results.reserve(points.size());
     for (auto& f : futures)

@@ -80,6 +80,15 @@ class ParallelExecutor
 };
 
 /**
+ * Copy of @p cfg with `run.threads` set to @p runs: the number of
+ * simulations sharing the host at once, among which `sim.shards=auto`
+ * divides the hardware threads (autoShardCount() in sim/shard.hpp).
+ * Every harness entry point stamps the concurrency it really runs at,
+ * so a point never sizes its shards from the user's worker request.
+ */
+Config withConcurrentRuns(const Config& cfg, int runs);
+
+/**
  * Run every config as an independent simulation point, using
  * resolveThreads(opt.threads) workers, and return the results in the
  * order of @p points. Bit-identical to a serial runExperiment() loop

@@ -57,7 +57,8 @@ measureBaseLatency(const Config& cfg, const RunOptions& opt)
 RunResult
 measureAtLoad(const Config& cfg, double load, const RunOptions& opt)
 {
-    Config point = cfg;
+    // A lone serial run: it has the whole host to itself.
+    Config point = withConcurrentRuns(cfg, 1);
     setWorkloadOffered(point, load);
     return runExperiment(point, opt);
 }

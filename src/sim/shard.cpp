@@ -51,6 +51,14 @@ bisect(const Topology& topo, std::vector<int>& owner, int first_shard,
 
 }  // namespace
 
+int
+autoShardCount(int hw_threads, int concurrent_runs, int nodes)
+{
+    const int hw = std::max(hw_threads, 1);
+    const int runs = concurrent_runs > 0 ? concurrent_runs : hw;
+    return std::clamp(hw / runs, 1, std::max(nodes, 1));
+}
+
 std::vector<int>
 ShardPlan::counts() const
 {
@@ -101,8 +109,13 @@ makeShardPlan(const Config& cfg, const Topology& topo)
                   "'auto', got '", raw, "'");
     }
     if (shards <= 0) {
-        const unsigned hw = std::thread::hardware_concurrency();
-        shards = hw > 0 ? static_cast<int>(hw) : 1;
+        // run.threads is the number of runs sharing the host. The sweep
+        // harness stamps the concurrency it really runs each point at;
+        // a network built straight from a config reads it as given,
+        // and a config without it is a lone run.
+        shards = autoShardCount(
+            static_cast<int>(std::thread::hardware_concurrency()),
+            cfg.get<int>("run.threads", 1), topo.numNodes());
     }
     shards = std::clamp(shards, 1, topo.numNodes());
 

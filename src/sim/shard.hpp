@@ -14,10 +14,10 @@
  *            blocks minimize cut links, i.e. mailbox traffic.
  *
  * `sim.shards` selects the shard count: a positive integer, or 0 /
- * "auto" for one shard per hardware thread. The count is clamped to
- * the node count. The plan affects wall-clock only — results are
- * bit-identical for every shard count and policy by construction (see
- * DESIGN.md section 10).
+ * "auto" for the run's share of the hardware threads (see
+ * autoShardCount()). The count is clamped to the node count. The plan
+ * affects wall-clock only — results are bit-identical for every shard
+ * count and policy by construction (see DESIGN.md section 10).
  */
 
 #ifndef FRFC_SIM_SHARD_HPP
@@ -48,6 +48,15 @@ struct ShardPlan
     /** Nodes per shard (balance reporting). */
     std::vector<int> counts() const;
 };
+
+/**
+ * Shard count for `sim.shards=auto`: the @p hw_threads hardware
+ * threads split evenly among @p concurrent_runs simultaneous runs
+ * (`run.threads`; <= 0 means one run per hardware thread), at least
+ * one shard and at most one per node. Pure, so tests can inject any
+ * host shape.
+ */
+int autoShardCount(int hw_threads, int concurrent_runs, int nodes);
 
 /**
  * Build the plan for @p topo from `sim.shards` / `sim.partition`.

@@ -67,8 +67,7 @@ class PeriodicInjection : public InjectionProcess
 
 /**
  * Build an injection process.
- * @param cfg              reads workload.injection (bernoulli | periodic;
- *                         legacy key "injection" still honored)
+ * @param cfg              reads workload.injection (bernoulli | periodic)
  * @param flits_per_cycle  offered load in flits/node/cycle
  * @param packet_length    flits per packet
  */

@@ -1,7 +1,7 @@
 #include "traffic/workload.hpp"
 
 #include <algorithm>
-#include <atomic>
+#include <utility>
 
 #include "common/config.hpp"
 #include "common/log.hpp"
@@ -10,50 +10,29 @@ namespace frfc {
 
 namespace {
 
-/**
- * One warning per process, not per run: sweeps build thousands of
- * configs (concurrently, on the executor's thread pool), and the
- * deprecation notice is advice to the human, not run state. The latch
- * is an atomic touched only on the (cold) legacy path and never feeds
- * back into simulation behavior, so it is shard-safe by construction.
- */
-// frfc-analyzer: allow(determinism.static): cold-path atomic latch
-std::atomic<bool> legacy_warned{false};
+/** Flat spellings of workload.* keys that were removed; a config that
+ *  still sets one dies naming its replacement. */
+constexpr std::pair<const char*, const char*> kRemovedKeys[] = {
+    {"offered", kWorkloadOfferedKey},
+    {"packet_length", kWorkloadPacketLengthKey},
+    {"injection", kWorkloadInjectionKey},
+    {"trace", kWorkloadTraceFileKey},
+};
 
-void
-warnLegacyUsed(const char* legacy, const char* canonical)
-{
-    if (legacy_warned.exchange(true))
-        return;
-    warn("config key '", legacy, "' is deprecated; use '", canonical,
-         "' (all workload keys now live under workload.*)");
-}
-
-void
-warnLegacyIgnored(const char* legacy, const char* canonical)
-{
-    if (legacy_warned.exchange(true))
-        return;
-    warn("config sets both '", canonical, "' and legacy '", legacy,
-         "'; the workload.* key wins and the legacy key is ignored");
-}
-
-/** Resolve @p key, falling back to @p legacy with a one-time warning. */
+/** Read @p key, or @p dflt when unset. Every workload read first
+ *  rejects the removed flat keys, so a stale config fails whichever
+ *  key the run resolves first. */
 template <typename T>
 T
-resolve(const Config& cfg, const char* key, const char* legacy,
-        const T& dflt)
+resolve(const Config& cfg, const char* key, const T& dflt)
 {
-    if (cfg.has(key)) {
-        if (legacy != nullptr && cfg.has(legacy))
-            warnLegacyIgnored(legacy, key);
-        return cfg.get<T>(key);
+    for (const auto& [removed, replacement] : kRemovedKeys) {
+        if (cfg.has(removed)) {
+            fatal("config key '", removed, "' was removed; use '",
+                  replacement, "'");
+        }
     }
-    if (legacy != nullptr && cfg.has(legacy)) {
-        warnLegacyUsed(legacy, key);
-        return cfg.get<T>(legacy);
-    }
-    return dflt;
+    return cfg.has(key) ? cfg.get<T>(key) : dflt;
 }
 
 }  // namespace
@@ -62,7 +41,7 @@ std::string
 workloadKind(const Config& cfg)
 {
     const std::string kind =
-        resolve<std::string>(cfg, kWorkloadKindKey, nullptr, "");
+        resolve<std::string>(cfg, kWorkloadKindKey, "");
     if (!kind.empty()) {
         if (kind != "synthetic" && kind != "trace" && kind != "memory") {
             fatal("workload.kind must be synthetic, trace, or memory "
@@ -70,15 +49,14 @@ workloadKind(const Config& cfg)
         }
         return kind;
     }
-    // Inferred: a named trace file selects trace replay, as the legacy
-    // flat `trace` key always did.
+    // Inferred: a named trace file selects trace replay.
     return workloadTraceFile(cfg).empty() ? "synthetic" : "trace";
 }
 
 double
 workloadOfferedFraction(const Config& cfg, double dflt)
 {
-    return resolve<double>(cfg, kWorkloadOfferedKey, "offered", dflt);
+    return resolve<double>(cfg, kWorkloadOfferedKey, dflt);
 }
 
 void
@@ -90,13 +68,13 @@ setWorkloadOffered(Config& cfg, double fraction)
 int
 workloadPacketLength(const Config& cfg)
 {
-    return resolve<int>(cfg, kWorkloadPacketLengthKey, "packet_length", 5);
+    return resolve<int>(cfg, kWorkloadPacketLengthKey, 5);
 }
 
 int
 workloadReplyLength(const Config& cfg)
 {
-    return resolve<int>(cfg, kWorkloadReplyLengthKey, nullptr, 0);
+    return resolve<int>(cfg, kWorkloadReplyLengthKey, 0);
 }
 
 int
@@ -105,11 +83,10 @@ workloadMaxPacketFlits(const Config& cfg)
     int flits = std::max(workloadPacketLength(cfg),
                          workloadReplyLength(cfg));
     if (workloadKind(cfg) == "memory") {
-        flits = std::max(
-            flits, resolve<int>(cfg, kWorkloadMemReqLengthKey, nullptr, 1));
-        flits = std::max(
-            flits,
-            resolve<int>(cfg, kWorkloadMemReplyLengthKey, nullptr, 5));
+        flits = std::max(flits,
+                         resolve<int>(cfg, kWorkloadMemReqLengthKey, 1));
+        flits = std::max(flits,
+                         resolve<int>(cfg, kWorkloadMemReplyLengthKey, 5));
     }
     return flits;
 }
@@ -117,28 +94,13 @@ workloadMaxPacketFlits(const Config& cfg)
 std::string
 workloadInjectionKind(const Config& cfg)
 {
-    return resolve<std::string>(cfg, kWorkloadInjectionKey, "injection",
-                                "bernoulli");
+    return resolve<std::string>(cfg, kWorkloadInjectionKey, "bernoulli");
 }
 
 std::string
 workloadTraceFile(const Config& cfg)
 {
-    return resolve<std::string>(cfg, kWorkloadTraceFileKey, "trace", "");
-}
-
-std::string
-canonicalWorkloadKey(const std::string& key)
-{
-    if (key == "offered")
-        return kWorkloadOfferedKey;
-    if (key == "packet_length")
-        return kWorkloadPacketLengthKey;
-    if (key == "injection")
-        return kWorkloadInjectionKey;
-    if (key == "trace")
-        return kWorkloadTraceFileKey;
-    return key;
+    return resolve<std::string>(cfg, kWorkloadTraceFileKey, "");
 }
 
 }  // namespace frfc

@@ -22,11 +22,9 @@
  *                          req_length, reply_length, mshrs, burst_on,
  *                          burst_off
  *
- * The pre-PR-7 flat keys (`offered`, `packet_length`, `injection`,
- * `trace`) keep working as a deprecated fallback: when only the legacy
- * key is present its value is used and a one-time warning names the
- * replacement; when both are present the `workload.*` key wins and the
- * warning says the legacy key was ignored.
+ * The old flat keys (`offered`, `packet_length`, `injection`, `trace`)
+ * are gone: a config that still sets one dies with a fatal naming its
+ * `workload.*` replacement.
  */
 
 #ifndef FRFC_TRAFFIC_WORKLOAD_HPP
@@ -71,8 +69,7 @@ std::string workloadKind(const Config& cfg);
 double workloadOfferedFraction(const Config& cfg, double dflt = 0.5);
 
 /** Set the offered-load fraction (the sweep helpers' single write
- *  path; wins over any legacy `offered` in @p cfg by resolution
- *  order). */
+ *  path). */
 void setWorkloadOffered(Config& cfg, double fraction);
 
 /** Synthetic packet length in flits. */
@@ -89,13 +86,6 @@ std::string workloadInjectionKind(const Config& cfg);
 
 /** Trace path; empty when no trace is configured. */
 std::string workloadTraceFile(const Config& cfg);
-
-/** Map a legacy flat workload key ("offered", "packet_length",
- *  "injection", "trace") to its workload.* equivalent; any other key
- *  is returned unchanged. Lets override paths (CLI key=value) keep
- *  honoring the legacy spellings even on configs that already carry
- *  workload.* defaults. */
-std::string canonicalWorkloadKey(const std::string& key);
 
 }  // namespace frfc
 

@@ -2,7 +2,7 @@
 """Golden test: committed schemas must regenerate byte-identically.
 
 Re-harvests docs/config_schema.json and docs/metric_schema.json from
-the current tree (same frontend selection as the analyzer CLI) and
+the current tree (same parser as the analyzer CLI) and
 byte-compares against the committed files, without writing anything.
 A mismatch means someone changed config/metric surface without
 running:
@@ -24,21 +24,17 @@ def main(argv) -> int:
     repo = Path(args.root).resolve()
     sys.path.insert(0, str(repo / "tools"))
 
-    from frfc_analyzer import cli, compdb, frontend_clang
+    from frfc_analyzer import cli, compdb
     from frfc_analyzer.ir import Program
     from frfc_analyzer.rules import config_schema, metric_paths
 
     try:
-        commands = compdb.load(Path(args.compdb), repo)
+        compdb.load(Path(args.compdb), repo)
     except compdb.CompDbError as exc:
         print("schema golden: %s" % exc, file=sys.stderr)
         return 1
 
-    if frontend_clang.available():
-        units = cli._parse_clang(repo, commands)
-    else:
-        units = cli._parse_internal(repo)
-    program = Program(units, str(repo))
+    program = Program(cli._parse_internal(repo), str(repo))
 
     ok = True
     pairs = (

@@ -319,6 +319,53 @@ TEST(InputTableProperty, RandomizedFlowMatchesModelOverLongRuns)
     }
 }
 
+TEST(InputTable, DoomRowExpiresSilently)
+{
+    // The doomed flit was dropped in flight too: its row expires
+    // without tripping the missed-arrival check or counting a loss.
+    InputReservationTable irt(8, 6);
+    irt.setFaultTolerant(true);
+    irt.markDoomed(3);
+    irt.advance(20);
+    EXPECT_EQ(irt.lostArrivals(), 0);
+    EXPECT_FALSE(irt.consumeDoomed(3));
+    // Strict mode expires doom rows the same way.
+    InputReservationTable strict(8, 6);
+    strict.markDoomed(3);
+    strict.advance(4);
+    EXPECT_FALSE(strict.consumeDoomed(3));
+}
+
+TEST(InputTable, ConsumeDoomedNeverMatchesReservationRow)
+{
+    InputReservationTable irt(32, 6);
+    irt.recordReservation(0, 5, 9, kEast);
+    irt.markDoomed(6);
+    irt.advance(5);
+    EXPECT_FALSE(irt.consumeDoomed(5));
+    irt.acceptFlit(5, makeFlit(1, 0));  // still bound by its row
+    irt.advance(6);
+    EXPECT_TRUE(irt.consumeDoomed(6));
+    EXPECT_FALSE(irt.consumeDoomed(6));  // consumed exactly once
+    for (Cycle t = 7; t <= 9; ++t)
+        irt.advance(t);
+    const auto deps = irt.takeDepartures(9);
+    ASSERT_EQ(deps.size(), 1u);
+    EXPECT_EQ(deps[0].flit.packet, 1);
+}
+
+TEST(InputTableDeath, DoomAndReservationCannotShareArrival)
+{
+    InputReservationTable doomed_first(32, 6);
+    doomed_first.markDoomed(5);
+    EXPECT_DEATH(doomed_first.recordReservation(0, 5, 9, kEast),
+                 "second reservation for arrival cycle 5");
+    InputReservationTable reserved_first(32, 6);
+    reserved_first.recordReservation(0, 5, 9, kEast);
+    EXPECT_DEATH(reserved_first.markDoomed(5),
+                 "arrival 5 doomed but already has a row");
+}
+
 TEST(InputTableDeath, OverSubscribedDepartSlotPanics)
 {
     InputReservationTable irt(32, 6);

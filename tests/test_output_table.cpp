@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -185,22 +186,25 @@ TEST(OutputTable, PaperFigure4Example)
 /**
  * Naive reference for findDeparture, built only on the public
  * inspection accessors: for each candidate departure, re-check the
- * buffer suffix cycle by cycle. The production implementation answers
- * from the incrementally maintained suffix-minimum frontier; this scan
- * is the specification it must match.
+ * buffer suffix cycle by cycle (skipped for an infinite-buffer table,
+ * whose departures may use the whole window). The production
+ * implementation finds the frontier in one backward walk over the
+ * stored steps; this scan is the specification it must match.
  */
 template <typename Predicate>
 Cycle
 referenceFindDeparture(const OutputReservationTable& ort,
-                       Cycle min_depart, Predicate&& extra, int min_free)
+                       Cycle min_depart, Predicate&& extra, int min_free,
+                       bool infinite = false)
 {
     const Cycle lo = std::max(min_depart, ort.windowStart());
-    const Cycle hi = ort.windowEnd() - ort.linkLatency();
+    const Cycle hi = ort.windowEnd() - (infinite ? 0 : ort.linkLatency());
     for (Cycle t = lo; t <= hi; ++t) {
         if (ort.busyAt(t))
             continue;
         bool feasible = true;
-        for (Cycle a = t + ort.linkLatency(); a <= ort.windowEnd(); ++a) {
+        for (Cycle a = t + ort.linkLatency();
+             !infinite && a <= ort.windowEnd(); ++a) {
             if (ort.freeBuffersAt(a) < min_free) {
                 feasible = false;
                 break;
@@ -215,28 +219,33 @@ referenceFindDeparture(const OutputReservationTable& ort,
     return kInvalidCycle;
 }
 
+/** Table shape for the randomized reference checks. */
+struct Shape
+{
+    int horizon;
+    int buffers;
+    Cycle latency;
+    bool infinite = false;
+};
+
 /**
- * Property test for the cached-frontier fast path: drive randomized
+ * Property test for the backward-walk frontier: drive randomized
  * reserve/credit/advance sequences (valid by construction — every
  * credit pairs with an outstanding reservation at or after its
  * downstream arrival, so the table's own overflow assertions stay
  * live) and require findDeparture to agree with the reference scan
- * for random (min_depart, min_free) queries after every mutation.
+ * for random (min_depart, min_free in {0, 1, 2}) queries after every
+ * mutation, on finite tables and on an infinite-buffer one.
  */
 TEST(OutputTableProperty, FastPathMatchesReferenceScan)
 {
-    struct Shape
-    {
-        int horizon;
-        int buffers;
-        Cycle latency;
-    };
-    for (const Shape& shape : {Shape{8, 2, 1}, Shape{16, 3, 2},
-                               Shape{32, 6, 4}, Shape{64, 4, 3}}) {
+    for (const Shape& shape :
+         {Shape{8, 2, 1}, Shape{16, 3, 2}, Shape{32, 6, 4},
+          Shape{64, 4, 3}, Shape{16, 0, 2, /*infinite=*/true}}) {
         Rng rng(20260806,
                 static_cast<std::uint64_t>(shape.horizon));
         OutputReservationTable ort(shape.horizon, shape.buffers,
-                                   shape.latency);
+                                   shape.latency, shape.infinite);
         Cycle now = 0;
         std::vector<Cycle> outstanding;  // arrival cycles awaiting credit
         for (int step = 0; step < 600; ++step) {
@@ -274,14 +283,14 @@ TEST(OutputTableProperty, FastPathMatchesReferenceScan)
                 const Cycle min_depart =
                     now + rng.nextRange(0, shape.horizon);
                 const int min_free =
-                    static_cast<int>(rng.nextRange(1, 2));
+                    static_cast<int>(rng.nextRange(0, 2));
                 const bool odd_only = rng.nextBool(0.3);
                 auto extra = [odd_only](Cycle t) {
                     return !odd_only || t % 2 != 0;
                 };
                 ASSERT_EQ(ort.findDeparture(min_depart, extra, min_free),
                           referenceFindDeparture(ort, min_depart, extra,
-                                                 min_free))
+                                                 min_free, shape.infinite))
                     << "horizon " << shape.horizon << " step " << step
                     << " min_depart " << min_depart << " min_free "
                     << min_free;
@@ -292,8 +301,8 @@ TEST(OutputTableProperty, FastPathMatchesReferenceScan)
 
 /**
  * Naive reference for nextBusyCycleAfter: linear busyAt scan. The
- * production path answers from the packed busy bitmap (word scans plus
- * the busy_hint_ cache); this is the specification it must match.
+ * production path answers from word scans over the packed busy bitmap;
+ * this is the specification it must match.
  */
 Cycle
 referenceNextBusy(const OutputReservationTable& ort, Cycle after)
@@ -307,30 +316,59 @@ referenceNextBusy(const OutputReservationTable& ort, Cycle after)
 }
 
 /**
- * Long-run property test for the bitmap word scans (DESIGN.md §12):
- * >= 10k random reserve/credit/advance steps per table shape —
- * including non-power-of-two horizons, where the wheel is wider than
- * the window and slides across its seam repeatedly — cross-checking
- * findDeparture and nextBusyCycleAfter against the linear references
- * after every mutation.
+ * Independent model of the free-buffer step function: the pool size
+ * plus every ±1 event timestamped at or before t. Events that leave
+ * the window fold into `base` (every query is inside the window).
+ */
+struct ReferenceCounts
+{
+    int base;
+    std::vector<std::pair<Cycle, int>> events;
+
+    void
+    slide(Cycle start)
+    {
+        std::erase_if(events, [&](const std::pair<Cycle, int>& e) {
+            if (e.first >= start)
+                return false;
+            base += e.second;
+            return true;
+        });
+    }
+    int
+    at(Cycle t) const
+    {
+        int free = base;
+        for (const auto& [cycle, delta] : events)
+            free += cycle <= t ? delta : 0;
+        return free;
+    }
+};
+
+/**
+ * Long-run property test for the bitmap word scans and the step
+ * storage (DESIGN.md §12): >= 10k random reserve/credit/advance steps
+ * per table shape — including non-power-of-two horizons, where the
+ * wheel is wider than the window and slides across its seam
+ * repeatedly, and a horizon past one 64-bit word — cross-checking
+ * findDeparture (min_free in {0, 1, 2}) and nextBusyCycleAfter against
+ * the linear references, and freeBuffersAt against an event-list model
+ * that shares no code with the table, after every mutation.
  */
 TEST(OutputTableProperty, BitmapScansMatchReferenceOverLongRuns)
 {
-    struct Shape
-    {
-        int horizon;
-        int buffers;
-        Cycle latency;
-    };
     // 13 -> 16-slot wheel and 48 -> 64-slot wheel exercise the
     // out-of-window slot band; 16 and 64 exercise the exact-fit wheel
     // where the expiring slot IS the newly exposed slot.
-    for (const Shape& shape : {Shape{13, 2, 1}, Shape{16, 3, 2},
-                               Shape{48, 4, 3}, Shape{64, 6, 4}}) {
+    for (const Shape& shape :
+         {Shape{13, 2, 1}, Shape{16, 3, 2}, Shape{48, 4, 3},
+          Shape{64, 6, 4}, Shape{100, 5, 3},
+          Shape{13, 0, 1, /*infinite=*/true}}) {
         Rng rng(20260807,
                 static_cast<std::uint64_t>(shape.horizon));
         OutputReservationTable ort(shape.horizon, shape.buffers,
-                                   shape.latency);
+                                   shape.latency, shape.infinite);
+        ReferenceCounts model{shape.buffers, {}};
         Cycle now = 0;
         std::vector<Cycle> outstanding;  // arrival cycles awaiting credit
         for (int step = 0; step < 10000; ++step) {
@@ -340,14 +378,16 @@ TEST(OutputTableProperty, BitmapScansMatchReferenceOverLongRuns)
                 ort.advance(now);
                 for (Cycle& a : outstanding)
                     a = std::max(a, ort.windowStart());
+                model.slide(ort.windowStart());
             } else if (op == 4) {
-                // Occasionally leap several windows ahead so the wheel
-                // wraps wholesale (the quiescent-jump path when empty).
+                // Occasionally leap several windows ahead so every
+                // slot of the wheel expires at once.
                 now += rng.nextRange(shape.horizon,
                                      3 * shape.horizon);
                 ort.advance(now);
                 for (Cycle& a : outstanding)
                     a = std::max(a, ort.windowStart());
+                model.slide(ort.windowStart());
             } else if (op <= 2) {
                 const Cycle min_depart =
                     now + rng.nextRange(0, shape.horizon / 2);
@@ -355,6 +395,7 @@ TEST(OutputTableProperty, BitmapScansMatchReferenceOverLongRuns)
                 if (d != kInvalidCycle) {
                     ort.reserve(d);
                     outstanding.push_back(d + shape.latency);
+                    model.events.emplace_back(d + shape.latency, -1);
                 }
             } else if (!outstanding.empty()) {
                 const std::uint64_t pick =
@@ -363,14 +404,24 @@ TEST(OutputTableProperty, BitmapScansMatchReferenceOverLongRuns)
                 const Cycle from = std::min(
                     arrival + rng.nextRange(0, 4), ort.windowEnd());
                 ort.credit(from);
+                model.events.emplace_back(std::max(from, now), +1);
                 outstanding[pick] = outstanding.back();
                 outstanding.pop_back();
             }
             const Cycle min_depart =
                 now + rng.nextRange(0, shape.horizon);
-            ASSERT_EQ(ort.findDeparture(min_depart, kAny),
-                      referenceFindDeparture(ort, min_depart, kAny, 1))
-                << "horizon " << shape.horizon << " step " << step;
+            const int min_free = static_cast<int>(rng.nextRange(0, 2));
+            ASSERT_EQ(ort.findDeparture(min_depart, kAny, min_free),
+                      referenceFindDeparture(ort, min_depart, kAny,
+                                             min_free, shape.infinite))
+                << "horizon " << shape.horizon << " step " << step
+                << " min_free " << min_free;
+            if (!shape.infinite) {
+                const Cycle t = now + rng.nextRange(0, shape.horizon - 1);
+                ASSERT_EQ(ort.freeBuffersAt(t), model.at(t))
+                    << "horizon " << shape.horizon << " step " << step
+                    << " cycle " << t;
+            }
             const Cycle after =
                 now + rng.nextRange(0, shape.horizon) - 1;
             ASSERT_EQ(ort.nextBusyCycleAfter(after),
@@ -385,8 +436,8 @@ TEST(OutputTableProperty, BitmapScansMatchReferenceOverLongRuns)
  * Wheel-seam edge cases with a non-power-of-two horizon (13 cycles in
  * a 16-slot wheel): reservations and credits that straddle the point
  * where cycle indices wrap must behave exactly as in the middle of the
- * window, and slots leaving the window must return to full capacity
- * before they are re-exposed.
+ * window, and slots leaving the window must drop their steps before
+ * they are re-exposed.
  */
 TEST(OutputTable, RingWraparoundAtHorizonBoundaries)
 {
@@ -427,8 +478,8 @@ TEST(OutputTable, RingWraparoundAtHorizonBoundaries)
 /**
  * Exact-fit wheel (power-of-two horizon): when the window slides one
  * cycle, the slot that expires is the same slot the window re-exposes
- * at its far end. The expired state must be wiped before the inherited
- * buffer count is written, including when the expiring cycle is busy.
+ * at its far end. The expired busy bit and step must be wiped so the
+ * re-exposed cycle is idle and carries the horizon-end count.
  */
 TEST(OutputTable, ExpiredSlotIsReexposedSlotOnPow2Horizon)
 {
@@ -455,6 +506,30 @@ TEST(OutputTableDeath, CreditOverflowPanics)
 {
     OutputReservationTable ort(16, 4, 2);
     EXPECT_DEATH(ort.credit(3), "credit overflow");
+}
+
+TEST(OutputTableDeath, ReserveWithoutBufferMidWindowPanics)
+{
+    // One buffer: taken from cycle 3 and credited back from cycle 8, so
+    // the horizon end has a free buffer but [3, 7] has none. A
+    // departure at 0 (arrival 2) would need one through that gap.
+    OutputReservationTable ort(16, 1, 2);
+    ort.reserve(1);
+    ort.credit(8);
+    EXPECT_EQ(ort.freeBuffersAt(15), 1);
+    EXPECT_EQ(ort.freeBuffersAt(5), 0);
+    EXPECT_DEATH(ort.reserve(0), "reserving without a free buffer at 7");
+}
+
+TEST(OutputTableDeath, CreditOverflowOnlyMidWindowPanics)
+{
+    // A reservation arriving at 12 leaves the horizon end one below
+    // capacity; a credit from 5 fits there but overflows [5, 11], and
+    // the report names the earliest overflowing cycle.
+    OutputReservationTable ort(16, 2, 2);
+    ort.reserve(10);
+    EXPECT_EQ(ort.freeBuffersAt(15), 1);
+    EXPECT_DEATH(ort.credit(5), "credit overflow at cycle 5");
 }
 
 TEST(OutputTableDeath, WindowNeverMovesBackwards)

@@ -12,11 +12,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/config.hpp"
+#include "harness/parallel.hpp"
 #include "harness/presets.hpp"
 #include "network/network.hpp"
 #include "network/runner.hpp"
@@ -99,6 +102,50 @@ TEST(ParallelKernelShardPlan, ConfigClampsShardsToNodeCount)
     const ShardPlan plan = makeShardPlan(cfg, topo);
     EXPECT_GE(plan.shards, 1);
     EXPECT_LE(plan.shards, 16);
+}
+
+TEST(ParallelKernelShardPlan, AutoShardsSplitCoresAmongConcurrentRuns)
+{
+    // A lone run gets every hardware thread.
+    EXPECT_EQ(autoShardCount(4, 1, 64), 4);
+    // mesh8 under a 4-worker sweep on 4 cores: one shard per run, not
+    // 4 x 4 threads fighting over 4 cores.
+    EXPECT_EQ(autoShardCount(4, 4, 64), 1);
+    EXPECT_EQ(autoShardCount(16, 4, 1024), 4);
+    EXPECT_EQ(autoShardCount(8, 3, 64), 2);
+    // More runs than cores still leaves each run one shard.
+    EXPECT_EQ(autoShardCount(4, 8, 64), 1);
+    // run.threads=0 means one run per hardware thread.
+    EXPECT_EQ(autoShardCount(8, 0, 64), 1);
+    // Never more shards than nodes; an unknown core count (0) is one.
+    EXPECT_EQ(autoShardCount(64, 1, 16), 16);
+    EXPECT_EQ(autoShardCount(0, 1, 64), 1);
+}
+
+TEST(ParallelKernelShardPlan, AutoShardsGiveALoneHarnessRunEveryCore)
+{
+    // The user asked for a 4-worker sweep, but the harness runs this
+    // point alone (measureAtLoad, a one-point sweep): it stamps the
+    // real concurrency, so the run still gets every hardware thread.
+    const auto topo_p = mesh(8, 8);
+    Config cfg;
+    cfg.set("sim.shards", "auto");
+    cfg.set("run.threads", 4);
+    const int hw = std::max(
+        static_cast<int>(std::thread::hardware_concurrency()), 1);
+    EXPECT_EQ(makeShardPlan(withConcurrentRuns(cfg, 1), *topo_p).shards,
+              std::min(hw, 64));
+    EXPECT_EQ(makeShardPlan(withConcurrentRuns(cfg, hw), *topo_p).shards,
+              1);
+}
+
+TEST(ParallelKernelShardPlan, AutoShardsHonorConfiguredRunThreads)
+{
+    const auto topo_p = mesh(8, 8);
+    Config cfg;
+    cfg.set("sim.shards", "auto");
+    cfg.set("run.threads", 1024);  // more runs than any host's cores
+    EXPECT_EQ(makeShardPlan(cfg, *topo_p).shards, 1);
 }
 
 // ---------------------------------------------------------------- //

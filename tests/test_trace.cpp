@@ -16,6 +16,7 @@
 #include "network/runner.hpp"
 #include "proto/packet_registry.hpp"
 #include "traffic/generator.hpp"
+#include "traffic/workload.hpp"
 
 namespace frfc {
 namespace {
@@ -309,7 +310,7 @@ TEST_P(TraceReplay, DeliversRecordedWorkload)
     cfg.set("size_x", 4);
     cfg.set("size_y", 4);
     cfg.set("data_buffers", 13);  // wide-length packets need headroom
-    cfg.set("trace", path);
+    cfg.set(kWorkloadTraceFileKey, path);
 
     auto net = makeNetwork(cfg);
     PacketRegistry& reg = net->registry();

@@ -9,6 +9,7 @@
 
 #include "harness/presets.hpp"
 #include "network/network.hpp"
+#include "traffic/workload.hpp"
 
 namespace frfc {
 namespace {
@@ -95,7 +96,7 @@ TEST(Validation, MissingTraceFileIsFatal)
 {
     Config cfg = baseConfig();
     applyVc8(cfg);
-    cfg.set("trace", "/nonexistent/path.tr");
+    cfg.set(kWorkloadTraceFileKey, "/nonexistent/path.tr");
     EXPECT_EXIT(makeNetwork(cfg), ::testing::ExitedWithCode(1),
                 "cannot open trace");
 }

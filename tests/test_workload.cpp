@@ -1,7 +1,7 @@
 /**
  * @file
  * Closed-loop workload engine: workload.* config resolution (and the
- * deprecated flat-key fallback), request-reply and memory-system
+ * fatal for removed flat keys), request-reply and memory-system
  * generators, per-class registry accounting, the class-causality
  * validator ledger, and bit-identity of closed-loop runs across the
  * stepped, event, and parallel kernels.
@@ -44,39 +44,6 @@ TEST(WorkloadConfig, DefaultsAreSynthetic)
     EXPECT_TRUE(workloadTraceFile(cfg).empty());
 }
 
-TEST(WorkloadConfig, LegacyFlatKeysStillResolve)
-{
-    Config cfg;
-    cfg.set("offered", 0.25);
-    cfg.set("packet_length", 9);
-    cfg.set("injection", "periodic");
-    cfg.set("trace", "some.tr");
-    EXPECT_DOUBLE_EQ(workloadOfferedFraction(cfg), 0.25);
-    EXPECT_EQ(workloadPacketLength(cfg), 9);
-    EXPECT_EQ(workloadInjectionKind(cfg), "periodic");
-    EXPECT_EQ(workloadTraceFile(cfg), "some.tr");
-    EXPECT_EQ(workloadKind(cfg), "trace");
-}
-
-TEST(WorkloadConfig, NamespacedKeyWinsOverLegacy)
-{
-    Config cfg;
-    cfg.set("offered", 0.25);
-    cfg.set(kWorkloadOfferedKey, 0.75);
-    cfg.set("packet_length", 9);
-    cfg.set(kWorkloadPacketLengthKey, 3);
-    EXPECT_DOUBLE_EQ(workloadOfferedFraction(cfg), 0.75);
-    EXPECT_EQ(workloadPacketLength(cfg), 3);
-}
-
-TEST(WorkloadConfig, SetWorkloadOfferedOverridesLegacy)
-{
-    Config cfg;
-    cfg.set("offered", 0.9);
-    setWorkloadOffered(cfg, 0.1);
-    EXPECT_DOUBLE_EQ(workloadOfferedFraction(cfg), 0.1);
-}
-
 TEST(WorkloadConfig, TraceFileImpliesTraceKind)
 {
     Config cfg;
@@ -85,6 +52,22 @@ TEST(WorkloadConfig, TraceFileImpliesTraceKind)
     // An explicit kind wins over the inference.
     cfg.set(kWorkloadKindKey, "synthetic");
     EXPECT_EQ(workloadKind(cfg), "synthetic");
+}
+
+TEST(WorkloadConfigDeath, RemovedFlatKeyIsFatalNamingItsReplacement)
+{
+    // The namespaced key being set as well changes nothing: the stale
+    // spelling still dies, naming both keys.
+    Config cfg;
+    cfg.set(kWorkloadOfferedKey, 0.75);
+    cfg.set("offered", 0.25);
+    EXPECT_EXIT(workloadOfferedFraction(cfg),
+                ::testing::ExitedWithCode(1),
+                "'offered' was removed; use 'workload\\.offered'");
+    Config trace;
+    trace.set("trace", "w.tr");
+    EXPECT_EXIT(workloadPacketLength(trace), ::testing::ExitedWithCode(1),
+                "'trace' was removed; use 'workload\\.trace\\.file'");
 }
 
 TEST(WorkloadConfigDeath, RejectsUnknownKind)

@@ -1,19 +1,15 @@
 """frfc-analyzer: AST-grade static analysis for the FRFC simulator.
 
 Semantic successor to the textual rules of tools/frfc_lint.py: rules
-run over a frontend-built intermediate representation (IR) of every
+run over a parsed intermediate representation (IR) of every
 translation unit named in CMake's compile_commands.json, so they see
 inheritance, call expressions, declarations, and the include graph
 rather than lines of text.
 
-Two interchangeable frontends produce the same IR (see ir.py):
-
-  clang      libclang via the ``clang.cindex`` Python bindings — the
-             reference frontend, used automatically when importable.
-  internal   a self-contained C++ tokenizer + scope parser (lexer.py,
-             frontend_internal.py) with no dependencies beyond the
-             Python 3 standard library, tuned to this codebase's
-             idiom; keeps the analyzer runnable on minimal containers.
+The IR (see ir.py) comes from a self-contained C++ tokenizer + scope
+parser (lexer.py, frontend_internal.py) with no dependencies beyond
+the Python 3 standard library, tuned to this codebase's idiom, so the
+analyzer runs anywhere Python 3 does.
 
 Rule families (tools/frfc_analyzer/rules/):
 
@@ -40,8 +36,7 @@ allow(<rule>): <reason>``) or through the audited baseline file
 tools/frfc_analyzer.suppressions. Output is text or SARIF-shaped JSON
 (``--json out=<file>``).
 
-Exit status: 0 clean, 1 findings, 2 usage/setup error, 77 skip (the
-requested frontend is unavailable).
+Exit status: 0 clean, 1 findings, 2 usage/setup error.
 """
 
 __version__ = "1.0.0"

@@ -12,8 +12,7 @@ invoked as ``python3 -m frfc_analyzer`` with ``tools`` as the working
 directory; scripts/static_checks.sh and the ctest invoke it via
 ``PYTHONPATH=tools``.
 
-Exit codes: 0 clean, 1 unsuppressed findings, 2 usage/setup error,
-77 the forced frontend is unavailable (ctest skip convention).
+Exit codes: 0 clean, 1 unsuppressed findings, 2 usage/setup error.
 """
 
 import argparse
@@ -22,7 +21,7 @@ from pathlib import Path
 from typing import List
 
 from . import __version__, compdb
-from . import frontend_clang, frontend_internal
+from . import frontend_internal
 from .ir import Program
 from .output import render_sarif, render_text
 from .rules import FAMILIES, RULE_DOCS, Context, run_all
@@ -31,7 +30,6 @@ from . import suppress
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
 EXIT_USAGE = 2
-EXIT_SKIP = 77
 
 # Directories parsed (repo-relative). The compile database provides
 # the TU list for src/; headers and the non-library dirs are parsed
@@ -69,29 +67,6 @@ def _parse_internal(root: Path) -> List:
     return units
 
 
-def _parse_clang(root: Path, commands) -> List:
-    seen = set()
-    units = []
-    for cmd in commands:
-        try:
-            rel = cmd.file.relative_to(root.resolve()).as_posix()
-        except ValueError:
-            continue
-        if not rel.startswith(tuple(d + "/" for d in SCAN_DIRS)):
-            continue
-        for tu in frontend_clang.parse_tu(cmd.file, cmd.args, root,
-                                          seen):
-            seen.add(tu.path)
-            units.append(tu)
-    # Files no TU reached (e.g. unused headers) still get parsed by
-    # the internal frontend so coverage matches.
-    for path in _collect_files(root):
-        rel = path.relative_to(root).as_posix()
-        if rel not in seen:
-            units.append(frontend_internal.parse_file(path, root))
-    return units
-
-
 def main(argv: List[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="frfc_analyzer",
@@ -105,10 +80,6 @@ def main(argv: List[str]) -> int:
     parser.add_argument("--root", default=None,
                         help="repo root (default: two levels above "
                              "this package)")
-    parser.add_argument("--frontend", default="auto",
-                        choices=("auto", "clang", "internal"),
-                        help="AST frontend (auto: clang.cindex when "
-                             "importable, else the internal parser)")
     parser.add_argument("--json", default=None, metavar="out=FILE",
                         help="also write SARIF-shaped JSON findings "
                              "to FILE")
@@ -161,17 +132,7 @@ def main(argv: List[str]) -> int:
         print("frfc-analyzer: %s" % stale, file=sys.stderr)
         return EXIT_USAGE
 
-    # Frontend selection.
-    use_clang = frontend_clang.available()
-    if args.frontend == "clang" and not use_clang:
-        print("frfc-analyzer: SKIP — libclang (clang.cindex) is not "
-              "available in this environment", file=sys.stderr)
-        return EXIT_SKIP
-    if args.frontend == "internal":
-        use_clang = False
-
-    units = _parse_clang(root, commands) if use_clang \
-        else _parse_internal(root)
+    units = _parse_internal(root)
     program = Program(units, str(root))
 
     only = args.rules.split(",") if args.rules else None
@@ -223,15 +184,13 @@ def main(argv: List[str]) -> int:
 
     active = [f for f in findings if not f.suppressed]
     suppressed = len(findings) - len(active)
-    frontend_name = "clang" if use_clang else "internal"
     if active:
         print("frfc-analyzer: %d finding(s) (%d suppressed) — "
-              "%d files, %s frontend"
-              % (len(active), suppressed, len(units), frontend_name),
+              "%d files" % (len(active), suppressed, len(units)),
               file=sys.stderr)
         return EXIT_FINDINGS
     print("frfc-analyzer: clean (%d files, %d rule families, "
-          "%d suppressed, %s frontend)"
+          "%d suppressed)"
           % (len(units), len(FAMILIES if not only else only),
-             suppressed, frontend_name), file=sys.stderr)
+             suppressed), file=sys.stderr)
     return EXIT_CLEAN

@@ -1,7 +1,7 @@
-"""Internal frontend: token-stream structural parser -> IR.
+"""Frontend: token-stream structural parser -> IR.
 
-A dependency-free fallback for containers without libclang. It is not
-a general C++ parser; it is a scope-tracking pass over the real token
+Dependency-free: it needs only the Python 3 standard library. It is
+not a general C++ parser; it is a scope-tracking pass over the real token
 stream (lexer.py) that recovers exactly the structure the rules need:
 the include list, class definitions with base-specifiers and member
 function names, call expressions with decomposed arguments, namespace
@@ -9,7 +9,7 @@ function names, call expressions with decomposed arguments, namespace
 type-name uses (through ``using``/``typedef`` aliases), range-for
 statements, string literals, and string constants.
 
-Accuracy notes versus libclang: names are matched per scope rather
+Accuracy notes: names are matched per scope rather
 than resolved through lookup, so a class shadowing another's name in a
 different namespace would be conflated. The FRFC tree keeps one
 ``frfc`` namespace with unique type names (enforced by review), and

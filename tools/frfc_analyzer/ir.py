@@ -1,10 +1,10 @@
-"""Frontend-neutral intermediate representation.
+"""Intermediate representation the rules run over.
 
-Both frontends (libclang and the internal parser) lower a translation
-unit to a ``TranslationUnit`` carrying exactly the facts the rules
-consume. Keeping the IR small and explicit is what lets the rules stay
-frontend-agnostic and the fixtures stay tiny: a rule never reaches
-around the IR back into tokens or cursors.
+The frontend (frontend_internal.py) lowers a translation unit to a
+``TranslationUnit`` carrying exactly the facts the rules consume.
+Keeping the IR small and explicit is what keeps the rules simple and
+the fixtures tiny: a rule never reaches around the IR back into
+tokens.
 
 All paths stored in the IR are repo-root-relative POSIX paths.
 """
@@ -53,7 +53,7 @@ class ClassInfo:
 
 @dataclass
 class Arg:
-    """One call argument, decomposed as far as the frontend could.
+    """One call argument, decomposed as far as the parser could.
 
     ``literal`` is set when the argument is (a concatenation of)
     string literals; ``ident`` when it is a lone identifier;

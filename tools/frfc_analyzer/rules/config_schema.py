@@ -4,7 +4,7 @@ Harvests every ``Config``/``ConfigScope`` access — ``get<T>("key")``,
 ``get("key", dflt)``, the deprecated ``getString/Int/Double/Bool``,
 ``has``, ``set`` — plus ``scope("prefix")`` composition (chained or
 through a named ConfigScope variable) and the ``resolve<T>(cfg, kKey,
-"legacy", dflt)`` helper of traffic/workload.cpp. Identifier key
+dflt)`` helper of traffic/workload.cpp. Identifier key
 arguments resolve through the program-wide ``constexpr const char*``
 constant table (the ``k*Key`` idiom), which the regex lint could never
 follow.
@@ -85,8 +85,8 @@ _DOC_KEY_RE = re.compile(r"`([a-z][a-z0-9_]*(?:\.[a-z0-9_.*]+)+)`")
 _WORD_RE = re.compile(r"[a-z0-9_.*]+")
 
 # Harvest scope: schema keys come from the simulator and its shipped
-# drivers. Tests exercise deliberately-invalid keys and the legacy
-# compat path, so they are excluded.
+# drivers. Tests exercise deliberately-invalid and removed keys, so
+# they are excluded.
 _HARVEST_DIRS = ("src/", "bench/", "examples/")
 
 
@@ -200,8 +200,8 @@ def harvest(program: Program) -> Dict[str, KeyInfo]:
                     if call.callee != "has" and len(call.args) >= 2:
                         ki.note_default(call.args[1].text)
             elif call.callee == "resolve" and len(call.args) >= 3:
-                # resolve<T>(cfg, key, legacy, dflt): the workload
-                # resolver helper. Key and legacy both register.
+                # resolve<T>(cfg, key, dflt): the workload resolver
+                # helper.
                 key = _resolve_key_arg(call, 1, consts)
                 if key is None:
                     continue
@@ -210,13 +210,7 @@ def harvest(program: Program) -> Dict[str, KeyInfo]:
                 ki.note_type(_TYPE_SPELLINGS.get(
                     call.template_args.strip(),
                     call.template_args.strip() or None))
-                if len(call.args) >= 4:
-                    ki.note_default(call.args[3].text)
-                legacy = _resolve_key_arg(call, 2, consts)
-                if legacy:
-                    lk = info(legacy)
-                    lk.read_sites.append(site)
-                    lk.note_type("legacy-alias")
+                ki.note_default(call.args[2].text)
 
     # Resolver files: accepted-key literals are schema entries.
     for prefix, path in RESOLVERS.items():
@@ -301,8 +295,6 @@ def scan(program: Program, ctx: Context) -> List[Finding]:
     for key, ki in sorted(keys.items()):
         if not ki.read_sites:
             continue
-        if "legacy-alias" in ki.types:
-            continue  # deprecated spellings are documented as such
         if not _documented(key, ctx):
             f, l = first_site(ki)
             findings.append(Finding(

@@ -12,7 +12,7 @@ which is how baselined findings get cleaned up when the underlying
 code is fixed.
 
 Inline suppressions (``// frfc-analyzer: allow(<rule>): <reason>`` on
-the finding's line) are handled by the frontends, which record them in
+the finding's line) are handled by the frontend, which records them in
 TranslationUnit.allows.
 """
 

@@ -26,8 +26,8 @@ comment so reviewers can audit it):
                 src/traffic/workload.* (PR 7). Outside src/traffic/,
                 the legacy flat key literals ("offered",
                 "packet_length", "injection", "trace") are forbidden
-                everywhere but tests/ (which exercise the compat
-                path), and src/ files must spell "workload.*" keys
+                everywhere but tests/ (which check that they are
+                rejected), and src/ files must spell "workload.*" keys
                 through the k*Key constants of traffic/workload.hpp
                 rather than raw string literals. Benches and examples
                 may write "workload.*" literals (they model user
@@ -116,7 +116,7 @@ WORKLOAD_LEGACY_LITERALS = {
 
 @rule("workload-keys")
 def check_workload_keys(rel, lines, report):
-    # tests/ exercise the legacy-key compatibility path on purpose, and
+    # tests/ check on purpose that the removed keys are rejected, and
     # src/traffic/ owns the workload vocabulary (resolver, generator
     # describe() labels, trace column names).
     if rel.startswith("tests/") or rel.startswith("src/traffic/"):
